@@ -1,7 +1,7 @@
 //! Criterion benches for the PRT12/LP13 substrate extensions: distributed
-//! girth and (S, γ, σ)-source detection — plus the tracing-overhead and
-//! scheduler-hot-loop comparisons guarding the simulator's performance
-//! contracts.
+//! girth and (S, γ, σ)-source detection — plus the tracing-overhead,
+//! scheduler-hot-loop and eccentricity-kernel comparisons guarding the
+//! simulator's and the central reference's performance contracts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -837,6 +837,62 @@ fn bench_flight_overhead(c: &mut Criterion) {
     );
 }
 
+/// The baseline the eccentricity gate measures against: one queue BFS per
+/// node.
+fn per_source_eccentricities(g: &Graph) -> Option<Vec<graphs::Dist>> {
+    g.nodes()
+        .map(|v| graphs::traversal::Bfs::run(g, v).eccentricity())
+        .collect()
+}
+
+/// The eccentricity kernel's performance contract: the bit-parallel
+/// multi-source BFS behind `metrics::eccentricities` (and so behind
+/// `diameter`, `radius` and the Theorem-1 driver's closed-form branch
+/// values) must stay ≥ 5× faster than one queue BFS per node at n = 4096.
+/// The criterion group compares the two at n = 1024; the trailing gate
+/// checks the vectors agree, then takes the minimum over interleaved
+/// samples of each side — interference only adds time, so the minimum is
+/// the least-biased estimate of each side's intrinsic cost.
+fn bench_eccentricities(c: &mut Criterion) {
+    let g_small = graphs::generators::random_sparse(1024, 6.0, 1);
+    let mut group = c.benchmark_group("eccentricities");
+    group.sample_size(10);
+    group.bench_function("multi_source_1024", |b| {
+        b.iter(|| black_box(graphs::metrics::eccentricities(black_box(&g_small))))
+    });
+    group.bench_function("per_source_1024", |b| {
+        b.iter(|| black_box(per_source_eccentricities(black_box(&g_small))))
+    });
+    group.finish();
+
+    let g = graphs::generators::random_sparse(4096, 6.0, 1);
+    let expected = per_source_eccentricities(&g);
+    assert!(expected.is_some(), "random_sparse graphs are connected");
+    assert_eq!(graphs::metrics::eccentricities(&g), expected);
+    let samples = 3;
+    let mut multi_min = f64::INFINITY;
+    let mut per_min = f64::INFINITY;
+    for _ in 0..samples {
+        let t = Instant::now();
+        black_box(graphs::metrics::eccentricities(black_box(&g)));
+        multi_min = multi_min.min(t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        black_box(per_source_eccentricities(black_box(&g)));
+        per_min = per_min.min(t.elapsed().as_secs_f64());
+    }
+    let speedup = per_min / multi_min;
+    println!(
+        "eccentricities at n = 4096: multi-source {:.1} ms, per-source {:.1} ms \
+         ({speedup:.1}x)",
+        multi_min * 1e3,
+        per_min * 1e3
+    );
+    assert!(
+        speedup >= 5.0,
+        "multi-source eccentricities only {speedup:.1}x faster than per-source BFS (gate: 5x)"
+    );
+}
+
 criterion_group!(
     benches,
     bench_girth,
@@ -845,6 +901,7 @@ criterion_group!(
     bench_metrics_overhead,
     bench_scheduler_hot_loop,
     bench_scheduler_sparse,
-    bench_flight_overhead
+    bench_flight_overhead,
+    bench_eccentricities
 );
 criterion_main!(benches);

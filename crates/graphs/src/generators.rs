@@ -382,13 +382,14 @@ pub fn random_sparse(n: usize, deg: f64, seed: u64) -> Graph {
             // Iterate pairs (i, j), i < j, in a flattened index with skips.
             let total = n * (n - 1) / 2;
             let mut idx: f64 = -1.0;
+            let mut pairs = PairCursor::new(n);
             loop {
                 let u: f64 = rng.random();
                 idx += 1.0 + (1.0 - u).ln() / logq;
                 if idx >= total as f64 {
                     break;
                 }
-                let (i, j) = unflatten_pair(idx as usize, n);
+                let (i, j) = pairs.pair(idx as usize);
                 b.edge_if_absent(i, j);
             }
         }
@@ -397,17 +398,36 @@ pub fn random_sparse(n: usize, deg: f64, seed: u64) -> Graph {
     b.build()
 }
 
-/// Maps a flattened pair index to `(i, j)` with `i < j` over `n` nodes.
-fn unflatten_pair(mut idx: usize, n: usize) -> (usize, usize) {
-    // Row i owns (n - 1 - i) pairs.
-    let mut i = 0;
-    loop {
-        let row = n - 1 - i;
-        if idx < row {
-            return (i, i + 1 + idx);
+/// Maps flattened pair indices to `(i, j)` with `i < j` over `n` nodes, in
+/// row-major order. The skip sampler's indices only grow, so the cursor
+/// only moves forward and the whole sweep costs `O(n + m)`.
+struct PairCursor {
+    n: usize,
+    /// Current row `i`.
+    row: usize,
+    /// Flattened index of the pair `(row, row + 1)`.
+    row_start: usize,
+}
+
+impl PairCursor {
+    fn new(n: usize) -> Self {
+        PairCursor {
+            n,
+            row: 0,
+            row_start: 0,
         }
-        idx -= row;
-        i += 1;
+    }
+
+    /// The pair at flattened index `idx`; `idx` must not decrease between
+    /// calls and must be below `n (n - 1) / 2`.
+    fn pair(&mut self, idx: usize) -> (usize, usize) {
+        debug_assert!(idx >= self.row_start, "pair indices must not decrease");
+        // Row i owns (n - 1 - i) pairs.
+        while idx - self.row_start >= self.n - 1 - self.row {
+            self.row_start += self.n - 1 - self.row;
+            self.row += 1;
+        }
+        (self.row, self.row + 1 + idx - self.row_start)
     }
 }
 
@@ -559,13 +579,58 @@ mod tests {
     }
 
     #[test]
-    fn unflatten_pair_enumerates_upper_triangle() {
-        let n = 6;
-        let mut seen = std::collections::HashSet::new();
-        for idx in 0..n * (n - 1) / 2 {
-            let (i, j) = unflatten_pair(idx, n);
-            assert!(i < j && j < n);
-            assert!(seen.insert((i, j)));
+    fn pair_cursor_matches_closed_form_on_every_pair() {
+        for n in 2..40 {
+            let mut pairs = PairCursor::new(n);
+            let mut idx = 0;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    assert_eq!(idx, i * (2 * n - i - 1) / 2 + (j - i - 1));
+                    assert_eq!(pairs.pair(idx), (i, j), "n = {n}, idx = {idx}");
+                    idx += 1;
+                }
+            }
+            assert_eq!(idx, n * (n - 1) / 2);
+        }
+    }
+
+    #[test]
+    fn pair_cursor_skips_rows() {
+        // Sparse, non-decreasing indices jump over whole rows at once.
+        let n = 10;
+        let mut pairs = PairCursor::new(n);
+        assert_eq!(pairs.pair(0), (0, 1));
+        assert_eq!(pairs.pair(0), (0, 1));
+        assert_eq!(pairs.pair(30), (4, 5));
+        assert_eq!(pairs.pair(44), (8, 9));
+    }
+
+    /// FNV-1a over the edge list: a fingerprint of the exact edge set.
+    fn edge_checksum(g: &Graph) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for (u, v) in g.edges() {
+            for x in [u.index() as u64, v.index() as u64] {
+                for byte in x.to_le_bytes() {
+                    h ^= u64::from(byte);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn random_sparse_edge_sets_are_pinned() {
+        // The benchmark and every seeded experiment depend on these exact
+        // edge sets; a sampler change must reproduce them.
+        for (n, seed, edges, checksum) in [
+            (64, 0, 169, 0x75a1_5696_081c_3cc4),
+            (1024, 1, 3050, 0xf4ea_d9d5_05e4_63ae),
+            (4096, 1, 12417, 0x3fc5_a7c4_4831_7d66),
+        ] {
+            let g = random_sparse(n, 6.0, seed);
+            assert_eq!(g.num_edges(), edges, "(n, seed) = ({n}, {seed})");
+            assert_eq!(edge_checksum(&g), checksum, "(n, seed) = ({n}, {seed})");
         }
     }
 }

@@ -1,8 +1,11 @@
 //! Distance metrics: eccentricities, diameter, radius.
 //!
 //! These are the centralized ground-truth quantities the paper's distributed
-//! algorithms compute. They run one BFS per node (`O(n·m)` total), which is
-//! fine at experiment scale.
+//! algorithms compute. [`eccentricities`] (and with it [`diameter`],
+//! [`radius`] and [`peripheral_node`]) runs a bit-parallel multi-source BFS
+//! (Then et al., "The More the Merrier", PVLDB 2014): 64 sources share one
+//! `u64` word per node, so all eccentricities cost
+//! `O(⌈n/64⌉ · (ecc_max + 1) · (n + m))` word operations.
 
 use crate::traversal::Bfs;
 use crate::{Dist, Graph, NodeId};
@@ -17,8 +20,63 @@ pub fn eccentricity(graph: &Graph, v: NodeId) -> Option<Dist> {
 
 /// Eccentricities of all nodes, or `None` if the graph is disconnected or
 /// empty.
+///
+/// Runs the sources in batches of 64, one bit per source: `seen[v]` holds
+/// the sources that have reached `v`, `frontier[v]` those that reached it at
+/// the current level. Each level pushes every frontier word to its
+/// neighbours (`next[w] |= frontier[v]`) and keeps `next & !seen` as the
+/// new frontier; a source's eccentricity is the last level at which its bit
+/// was new anywhere. The three word arrays are allocated once and reused
+/// across batches.
 pub fn eccentricities(graph: &Graph) -> Option<Vec<Dist>> {
-    graph.nodes().map(|v| eccentricity(graph, v)).collect()
+    let n = graph.len();
+    if n == 0 {
+        return None;
+    }
+    let mut ecc = vec![0; n];
+    let mut seen = vec![0u64; n];
+    let mut frontier = vec![0u64; n];
+    let mut next = vec![0u64; n];
+    for base in (0..n).step_by(64) {
+        let width = (n - base).min(64);
+        let all = u64::MAX >> (64 - width);
+        seen.fill(0);
+        frontier.fill(0);
+        for i in 0..width {
+            seen[base + i] = 1 << i;
+            frontier[base + i] = 1 << i;
+        }
+        let mut level: Dist = 0;
+        loop {
+            for (v, &bits) in frontier.iter().enumerate() {
+                if bits != 0 {
+                    for &w in graph.neighbors(NodeId::new(v)) {
+                        next[w.index()] |= bits;
+                    }
+                }
+            }
+            let mut grew = 0u64;
+            for ((s, f), x) in seen.iter_mut().zip(&mut frontier).zip(&mut next) {
+                let new = *x & !*s;
+                *s |= new;
+                *f = new;
+                *x = 0;
+                grew |= new;
+            }
+            if grew == 0 {
+                break;
+            }
+            level += 1;
+            while grew != 0 {
+                ecc[base + grew.trailing_zeros() as usize] = level;
+                grew &= grew - 1;
+            }
+        }
+        if seen.iter().any(|&s| s != all) {
+            return None;
+        }
+    }
+    Some(ecc)
 }
 
 /// Diameter: the maximum eccentricity.
@@ -171,6 +229,63 @@ mod tests {
         assert_eq!(radius(&g), None);
         assert_eq!(eccentricities(&g), None);
         assert_eq!(peripheral_node(&g), None);
+    }
+
+    #[test]
+    fn empty_graph_has_no_eccentricities() {
+        let g = Graph::from_edges(0, []).unwrap();
+        assert_eq!(eccentricities(&g), None);
+        assert_eq!(diameter(&g), None);
+        assert_eq!(radius(&g), None);
+        assert_eq!(peripheral_node(&g), None);
+    }
+
+    /// The per-source reference: one queue BFS per node.
+    fn per_source(g: &Graph) -> Option<Vec<Dist>> {
+        g.nodes().map(|v| Bfs::run(g, v).eccentricity()).collect()
+    }
+
+    #[test]
+    fn eccentricities_match_per_source_bfs_across_word_boundaries() {
+        for n in [1, 2, 63, 64, 65, 127, 128, 129] {
+            let mut families = vec![generators::path(n)];
+            if n >= 2 {
+                families.push(generators::star(n - 1));
+                families.push(generators::random_sparse(n, 4.0, n as u64));
+            }
+            if n >= 3 {
+                families.push(generators::cycle(n));
+            }
+            for g in families {
+                assert_eq!(g.len(), n);
+                let expected = per_source(&g);
+                assert!(expected.is_some(), "families are connected (n = {n})");
+                assert_eq!(eccentricities(&g), expected, "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn eccentricities_match_per_source_bfs_on_grids_and_trees() {
+        for g in [
+            generators::grid(8, 9),
+            generators::balanced_tree(2, 7),
+            generators::hypercube(7),
+            generators::barbell(40, 30),
+        ] {
+            assert_eq!(eccentricities(&g), per_source(&g));
+        }
+    }
+
+    #[test]
+    fn disconnected_only_in_the_last_partial_word_is_none() {
+        // Path on 0..64 plus an isolated node 64: the first batch (sources
+        // 0..64) never reaches node 64, and the second batch (source 64
+        // alone) reaches nothing else.
+        let g = Graph::from_edges(65, (0..63).map(|i| (i, i + 1))).unwrap();
+        assert_eq!(eccentricities(&g), None);
+        assert_eq!(per_source(&g), None);
+        assert_eq!(diameter(&g), None);
     }
 
     #[test]

@@ -72,6 +72,17 @@ proptest! {
         );
     }
 
+    /// The bit-parallel multi-source BFS behind `metrics::eccentricities`
+    /// matches one single-source BFS per node.
+    #[test]
+    fn eccentricities_match_per_source_bfs(g in arb_graph()) {
+        let expected: Vec<_> = g
+            .nodes()
+            .map(|v| graphs::traversal::Bfs::run(&g, v).eccentricity().unwrap())
+            .collect();
+        prop_assert_eq!(graphs::metrics::eccentricities(&g), Some(expected));
+    }
+
     /// The classical exact-diameter pipeline is correct on arbitrary
     /// connected graphs.
     #[test]
